@@ -171,6 +171,9 @@ func (r *snapReader) bytes() ([]byte, error) {
 	return b, nil
 }
 
+// left is the number of unread bytes.
+func (r *snapReader) left() uint64 { return uint64(len(r.buf) - r.off) }
+
 func (r *snapReader) done() error {
 	if r.off != len(r.buf) {
 		return fmt.Errorf("distance: %d trailing snapshot bytes", len(r.buf)-r.off)
@@ -230,7 +233,7 @@ func readInterned[K comparable](r *snapReader, readElem func(*snapReader) (K, er
 			return nil, err
 		}
 		var words []uint64
-		id := uint32(0)
+		id := uint64(0)
 		for j := uint64(0); j < card; j++ {
 			d, err := r.uvarint()
 			if err != nil {
@@ -239,11 +242,14 @@ func readInterned[K comparable](r *snapReader, readElem func(*snapReader) (K, er
 			if j > 0 && d == 0 {
 				return nil, fmt.Errorf("distance: snapshot set %d has a duplicate element id", i)
 			}
-			id += uint32(d)
-			if uint64(id) >= nElems {
-				return nil, fmt.Errorf("distance: snapshot set %d references element id %d beyond dictionary size %d", i, id, nElems)
+			// Sum in uint64 and bound each term: a delta of 2^32 must not
+			// wrap back onto an earlier id (the bitset would then hold
+			// fewer elements than the stored cardinality).
+			if d >= nElems || id+d >= nElems || id+d >= 1<<32 {
+				return nil, fmt.Errorf("distance: snapshot set %d references element id %d+%d beyond dictionary size %d", i, id, d, nElems)
 			}
-			words = bitsetSet(words, id)
+			id += d
+			words = bitsetSet(words, uint32(id))
 		}
 		out.sets = append(out.sets, words)
 		out.cards = append(out.cards, int(card))
@@ -261,12 +267,21 @@ func readLegacySets[K comparable](r *snapReader, readElem func(*snapReader) (K, 
 	if err != nil {
 		return nil, err
 	}
+	// Every set and every element takes at least one byte, so a count
+	// beyond the bytes left is a lie — refuse it before it sizes an
+	// allocation.
+	if n > r.left() {
+		return nil, fmt.Errorf("distance: snapshot claims %d sets in %d bytes", n, r.left())
+	}
 	out := newInternedPrepared[K](int(n))
 	elems := []K(nil)
 	for i := uint64(0); i < n; i++ {
 		k, err := r.uvarint()
 		if err != nil {
 			return nil, err
+		}
+		if k > r.left() {
+			return nil, fmt.Errorf("distance: snapshot set %d claims %d elements in %d bytes", i, k, r.left())
 		}
 		elems = elems[:0]
 		for j := uint64(0); j < k; j++ {
@@ -277,6 +292,9 @@ func readLegacySets[K comparable](r *snapReader, readElem func(*snapReader) (K, 
 			elems = append(elems, e)
 		}
 		out.addSet(elems)
+		if bitsetCount(out.sets[i]) != len(elems) {
+			return nil, fmt.Errorf("distance: snapshot set %d repeats an element", i)
+		}
 	}
 	return out, nil
 }

@@ -152,3 +152,55 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		t.Error("marshaling a foreign prepared state succeeded")
 	}
 }
+
+// TestLegacySnapshotBoundsCounts is the regression test for a legacy
+// (tag 1) payload whose set count is a 40-terabyte lie: the decoder
+// must refuse it from the bytes left instead of sizing an allocation
+// by it, which used to end the process with a fatal out-of-memory.
+func TestLegacySnapshotBoundsCounts(t *testing.T) {
+	token, _ := New("token", snapshotArtifacts(t))
+	for _, payload := range []string{
+		"DPS1\x01\xf4\xf4\xf4\xf4\xf40",    // set count far beyond the input
+		"DPS1\x01\x01\xf4\xf4\xf4\xf4\x0f", // one set, element count far beyond the input
+	} {
+		if _, err := token.(Snapshotter).UnmarshalPrepared([]byte(payload)); err == nil {
+			t.Errorf("payload %q decoded without error", payload)
+		}
+	}
+}
+
+// TestSnapshotRejectsWrappedDelta is the regression test for an
+// interned snapshot whose second id delta is 2^32: summed in uint32 it
+// wrapped back onto id 0, so set 0 decoded as {a} with cardinality 2
+// and its Jaccard distance to set 1 = {a} came out 0.5 instead of 0.
+// A legacy set that repeats an element is the same lie (cardinality
+// above the popcount) and is refused too.
+func TestSnapshotRejectsWrappedDelta(t *testing.T) {
+	token, _ := New("token", snapshotArtifacts(t))
+	w := newSnapWriter(snapInternedStrings)
+	w.uvarint(2) // dictionary: a, b
+	w.str("a")
+	w.str("b")
+	w.uvarint(2)       // sets
+	w.uvarint(2)       // set 0: cardinality 2
+	w.uvarint(0)       // id 0
+	w.uvarint(1 << 32) // id 2^32, which used to wrap to 0
+	w.uvarint(1)       // set 1: cardinality 1
+	w.uvarint(0)       // id 0
+	if p, err := token.(Snapshotter).UnmarshalPrepared(w.buf); err == nil {
+		d, _ := p.Distance(0, 1)
+		t.Errorf("wrapped delta decoded without error (distance(0,1) = %v)", d)
+	}
+
+	w = newSnapWriter(snapStringSets)
+	w.uvarint(2)
+	w.uvarint(2) // set 0: a, a
+	w.str("a")
+	w.str("a")
+	w.uvarint(1) // set 1: a
+	w.str("a")
+	if p, err := token.(Snapshotter).UnmarshalPrepared(w.buf); err == nil {
+		d, _ := p.Distance(0, 1)
+		t.Errorf("legacy set with a repeated element decoded without error (distance(0,1) = %v)", d)
+	}
+}

@@ -201,31 +201,27 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 	res := &ImportResult{Session: js.ID, Logs: len(c.logs), Skipped: st.Skipped}
 	// Warm the caches from the blob records, reusing the replay
 	// handler's apply rules (same decode checks, same keys, same byte
-	// accounting).
+	// accounting). Only applied records are kept for the journal: a
+	// blob replay would skip has no business on disk.
 	apply := replayApplier{r}
-	for _, sn := range c.snapshots {
-		switch apply.Snapshot(sn) {
+	var applied []journal.Record
+	count := func(o journal.Outcome, rec journal.Record, n *int) {
+		switch o {
 		case journal.Applied:
-			res.Snapshots++
+			applied = append(applied, rec)
+			*n++
 		case journal.Skipped:
 			res.Skipped++
 		}
+	}
+	for _, sn := range c.snapshots {
+		count(apply.Snapshot(sn), sn, &res.Snapshots)
 	}
 	for _, ap := range c.approxes {
-		switch apply.Approx(ap) {
-		case journal.Applied:
-			res.ApproxIndexes++
-		case journal.Skipped:
-			res.Skipped++
-		}
+		count(apply.Approx(ap), ap, &res.ApproxIndexes)
 	}
 	for _, m := range c.minings {
-		switch apply.Mining(m) {
-		case journal.Applied:
-			res.MineStates++
-		case journal.Skipped:
-			res.Skipped++
-		}
+		count(apply.Mining(m), m, &res.MineStates)
 	}
 
 	if r.persistent {
@@ -245,14 +241,8 @@ func (r *Registry) ImportSession(rd io.Reader) (*ImportResult, error) {
 		}
 		// The warm cache entries are a recoverable optimization: journal
 		// them best-effort, like the write-through hooks.
-		for _, sn := range c.snapshots {
-			sh.journal.Append(sn)
-		}
-		for _, ap := range c.approxes {
-			sh.journal.Append(ap)
-		}
-		for _, m := range c.minings {
-			sh.journal.Append(m)
+		for _, rec := range applied {
+			sh.journal.Append(rec)
 		}
 		// If this id ever lived (and was tombstoned) on this server, the
 		// old tombstone now precedes the fresh create in the journal and

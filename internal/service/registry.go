@@ -472,7 +472,7 @@ func (a replayApplier) Snapshot(sn journal.Snapshot) journal.Outcome {
 		return journal.Skipped
 	}
 	pl, err := s.provider.UnmarshalPreparedLog(sn.Blob)
-	if err != nil {
+	if err != nil || pl.Len() != len(queries) {
 		return journal.Skipped
 	}
 	s.sh.cache.add(s.id+"\x00"+sn.LogID, pl, preparedCost(pl, queries))

@@ -596,7 +596,14 @@ func (s *session) mineIncremental(ctx context.Context, baseLogID, combinedID str
 	key := s.mineKey(spec, combinedID)
 	for {
 		if v, ok := s.sh.cache.get(key); ok {
-			res, _, err := s.provider.MineIncremental(ctx, pl, v.(*dpe.MineState), spec)
+			prev := v.(*dpe.MineState)
+			res, state, err := s.provider.MineIncremental(ctx, pl, prev, spec)
+			if err == nil && prev.NeedsRebuild() && s.sh.session(s.id) != nil {
+				// A replayed or imported state just had its matrix
+				// rebuilt: keep the rebuilt state so only its first use
+				// pays. Its content is unchanged, so nothing is journaled.
+				s.sh.cache.add(key, state, state.SizeBytes())
+			}
 			if err == nil {
 				s.mu.Lock()
 				s.mineHits++

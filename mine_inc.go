@@ -16,6 +16,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/distance"
@@ -23,18 +24,22 @@ import (
 )
 
 // MineState is the carried state of incremental mining over one
-// (log, spec) pair: the distance matrix over the rows mined so far
-// plus the algorithm's warm-start structure. It is immutable once
-// returned — MineIncremental extends copies, never the state itself —
-// so a service can cache it and serve concurrent readers. A MineState
-// is only meaningful with the Provider and log prefix it was mined
-// from.
+// (log, spec) pair: the algorithm's warm-start structure over the rows
+// mined so far, plus the distance matrix (and DBSCAN's eps-graph) over
+// them. It is immutable once returned — MineIncremental extends
+// copies, never the state itself — so a service can cache it and serve
+// concurrent readers. A MineState is only meaningful with the Provider
+// and log prefix it was mined from.
+//
+// The matrix and eps-graph are derived data: the persisted form keeps
+// only the clustering, and a decoded state has them rebuilt from the
+// prepared log by the next MineIncremental (see NeedsRebuild).
 type MineState struct {
 	spec   MineSpec
 	n      int
-	matrix Matrix                 // distance-based algorithms; nil for apriori
+	matrix Matrix                 // distance-based algorithms; nil for apriori and decoded states
 	kmed   *mining.KMedoidsResult // k-medoids warm start
-	adj    [][]int                // dbscan eps-neighborhood graph
+	adj    [][]int                // dbscan eps-neighborhood graph; nil when matrix is
 	labels []int                  // prior labels (dbscan, complete-link) or 0/1 outlier flags
 	counts map[string]int         // apriori carried candidate supports
 }
@@ -45,6 +50,15 @@ func (s *MineState) Spec() MineSpec { return s.spec }
 
 // Len is the number of log rows the state covers.
 func (s *MineState) Len() int { return s.n }
+
+// NeedsRebuild reports whether the state lacks the distance matrix its
+// algorithm warm-starts over — true for a state decoded by
+// UnmarshalMineState. The next MineIncremental rebuilds the matrix from
+// the prepared log (counting the pairs) and returns a state that
+// carries it, so a cache should keep that returned state instead.
+func (s *MineState) NeedsRebuild() bool {
+	return s.matrix == nil && s.spec.Algorithm != MineApriori
+}
 
 // SizeBytes estimates the memory the state retains, for cache byte
 // budgets.
@@ -82,10 +96,13 @@ type IncrementalStats struct {
 	OldN int `json:"old_n"`
 	// PairsComputed counts the distance pairs evaluated for the
 	// matrix: oldN·k + k·(k−1)/2 warm, the full n·(n−1)/2 triangle
-	// cold, 0 for apriori (which never builds a matrix).
+	// cold, 0 for apriori (which never builds a matrix). A warm run
+	// from a decoded state also counts the oldN·(oldN−1)/2 pairs of
+	// the rebuilt prefix.
 	PairsComputed int64 `json:"pairs_computed"`
 	// Examined counts the algorithm's own work: matrix entries read
-	// (k-medoids, DBSCAN) or transaction membership scans (apriori).
+	// (k-medoids, DBSCAN, including a decoded DBSCAN state's rebuilt
+	// eps-graph) or transaction membership scans (apriori).
 	Examined int64 `json:"examined"`
 	// ChangedLabels lists the old rows whose cluster membership
 	// changed relative to the previous state, after canonical
@@ -215,7 +232,10 @@ func (p *Provider) mineCold(m Matrix, spec MineSpec, res *MineResult, state *Min
 }
 
 // mineWarm is the incremental path: extend the carried matrix with the
-// appended rows' pairs only, then warm-start the algorithm.
+// appended rows' pairs only, then warm-start the algorithm. A decoded
+// state carries no matrix; its oldN×oldN prefix (and DBSCAN's
+// eps-graph) is rebuilt from the prepared log first, into locals —
+// prev is never mutated.
 func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineState, spec MineSpec) (*MineResult, *MineState, error) {
 	defer p.stage(ctx, "mine_delta")()
 	n, oldN := pl.Len(), prev.n
@@ -238,19 +258,35 @@ func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineStat
 		return res, state, nil
 	}
 
-	if len(prev.matrix) != oldN {
-		return nil, nil, fmt.Errorf("dpe: mining state carries a %d-row matrix for %d rows", len(prev.matrix), oldN)
+	prevM, prevAdj := prev.matrix, prev.adj
+	if prevM == nil {
+		var err error
+		if prevM, err = distance.BuildMatrix(ctx, oldN, p.parallelism, pl.prep.Distance); err != nil {
+			return nil, nil, err
+		}
+		stats.PairsComputed += int64(oldN) * int64(oldN-1) / 2
+		if spec.Algorithm == MineDBSCAN {
+			adj, reads, err := mining.EpsGraph(prevM, spec.Eps)
+			if err != nil {
+				return nil, nil, err
+			}
+			prevAdj = adj
+			stats.Examined += reads
+		}
+	}
+	if len(prevM) != oldN {
+		return nil, nil, fmt.Errorf("dpe: mining state carries a %d-row matrix for %d rows", len(prevM), oldN)
 	}
 	rows, err := p.AppendRowsPrepared(ctx, oldN, pl)
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := SpliceMatrixRows(prev.matrix, rows)
+	m, err := SpliceMatrixRows(prevM, rows)
 	if err != nil {
 		return nil, nil, err
 	}
 	k := n - oldN
-	stats.PairsComputed = int64(oldN)*int64(k) + int64(k)*int64(k-1)/2
+	stats.PairsComputed += int64(oldN)*int64(k) + int64(k)*int64(k-1)/2
 	res.Matrix = m
 	state.matrix = m
 
@@ -282,7 +318,7 @@ func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineStat
 			stats.ChangedLabels = changedLabels(prev.kmed.Assign, res.Clusters.Assign, oldN)
 		}
 	case MineDBSCAN:
-		labels, adj, ds, derr := mining.DBSCANAppendGraph(m, spec.Eps, spec.MinPts, prev.adj)
+		labels, adj, ds, derr := mining.DBSCANAppendGraph(m, spec.Eps, spec.MinPts, prevAdj)
 		if derr != nil {
 			stats.ColdFallback = true
 			if err := p.mineCold(m, spec, res, state, stats); err != nil {
@@ -370,19 +406,26 @@ func (p *Provider) transactions(pl *PreparedLog) ([]mining.Transaction, error) {
 
 // --- MineState persistence (the service's KindMining journal records) ---
 
-// mineStateWire is the serialized form of a MineState. Version 1.
-// Counts are sorted by key so equal states marshal to identical bytes;
-// float64 values survive the JSON round trip exactly.
+// mineStateWire is the serialized form of a MineState. Version 2 holds
+// the clustering only — spec, row count, labels, k-medoids result and
+// apriori counts, O(n) bytes — because the matrix and eps-graph are
+// cheaper to rebuild from the prepared log than to store and decode.
+// Version 1 also held "matrix" and "adj"; those fields are not part of
+// the struct, so encoding/json skips them and a v1 record decodes as
+// v2 with its (untrusted) distances dropped. Counts are sorted by key
+// so equal states marshal to identical bytes; float64 values survive
+// the JSON round trip exactly.
 type mineStateWire struct {
 	V      int                    `json:"v"`
 	Spec   MineSpec               `json:"spec"`
 	N      int                    `json:"n"`
-	Matrix Matrix                 `json:"matrix,omitempty"`
 	Kmed   *mining.KMedoidsResult `json:"kmed,omitempty"`
-	Adj    [][]int                `json:"adj,omitempty"`
 	Labels []int                  `json:"labels,omitempty"`
 	Counts []countEntry           `json:"counts,omitempty"`
 }
+
+// mineStateVersion is the version MarshalMineState writes.
+const mineStateVersion = 2
 
 type countEntry struct {
 	K string `json:"k"`
@@ -390,19 +433,17 @@ type countEntry struct {
 }
 
 // MarshalMineState serializes a mining state for persistence. The
-// encoding is deterministic and exact: UnmarshalMineState returns a
-// state that warm-starts identically.
+// encoding is deterministic and holds only what UnmarshalMineState
+// needs to warm-start identically; the distance matrix is not written.
 func MarshalMineState(s *MineState) ([]byte, error) {
 	if s == nil {
 		return nil, fmt.Errorf("dpe: nil mining state")
 	}
 	w := mineStateWire{
-		V:      1,
+		V:      mineStateVersion,
 		Spec:   s.spec,
 		N:      s.n,
-		Matrix: s.matrix,
 		Kmed:   s.kmed,
-		Adj:    s.adj,
 		Labels: s.labels,
 	}
 	if s.counts != nil {
@@ -415,31 +456,104 @@ func MarshalMineState(s *MineState) ([]byte, error) {
 	return json.Marshal(&w)
 }
 
-// UnmarshalMineState is the inverse of MarshalMineState.
+// UnmarshalMineState is the inverse of MarshalMineState; it also reads
+// version 1 records. The returned state carries no matrix
+// (NeedsRebuild). Every field is checked against the row count and the
+// spec, so a state that decodes is one MineIncremental can warm-start
+// from without indexing out of range.
 func UnmarshalMineState(data []byte) (*MineState, error) {
 	var w mineStateWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("dpe: decoding mining state: %w", err)
 	}
-	if w.V != 1 {
+	if w.V != 1 && w.V != mineStateVersion {
 		return nil, fmt.Errorf("dpe: unknown mining-state version %d", w.V)
 	}
-	if w.N < 0 {
-		return nil, fmt.Errorf("dpe: mining state has negative row count %d", w.N)
-	}
-	s := &MineState{
-		spec:   w.Spec,
-		n:      w.N,
-		matrix: w.Matrix,
-		kmed:   w.Kmed,
-		adj:    w.Adj,
-		labels: w.Labels,
-	}
+	s := &MineState{spec: w.Spec, n: w.N, kmed: w.Kmed, labels: w.Labels}
 	if w.Counts != nil {
 		s.counts = make(map[string]int, len(w.Counts))
 		for _, e := range w.Counts {
+			if _, dup := s.counts[e.K]; dup {
+				return nil, fmt.Errorf("dpe: mining state repeats apriori count %q", e.K)
+			}
 			s.counts[e.K] = e.C
 		}
 	}
+	if err := s.validate(); err != nil {
+		return nil, fmt.Errorf("dpe: invalid mining state: %w", err)
+	}
 	return s, nil
+}
+
+// validate checks a decoded state's fields against its row count and
+// spec: only the fields its algorithm carries are present, and each is
+// in range.
+func (s *MineState) validate() error {
+	n, spec := s.n, s.spec
+	if n < 0 {
+		return fmt.Errorf("negative row count %d", n)
+	}
+	if err := spec.Validate(n); err != nil {
+		return err
+	}
+	if spec.Approximate {
+		return fmt.Errorf("incremental mining states are never approximate")
+	}
+	switch spec.Algorithm {
+	case MineDBSCAN, MineCompleteLink, MineOutliers:
+		if len(s.labels) != n {
+			return fmt.Errorf("%d labels for %d rows", len(s.labels), n)
+		}
+		lo, hi := 0, 1 // outlier flags
+		switch spec.Algorithm {
+		case MineDBSCAN:
+			lo, hi = mining.Noise, n-1
+		case MineCompleteLink:
+			hi = spec.K - 1
+		}
+		for i, l := range s.labels {
+			if l < lo || l > hi {
+				return fmt.Errorf("label %d of row %d outside [%d,%d]", l, i, lo, hi)
+			}
+		}
+	default:
+		if s.labels != nil {
+			return fmt.Errorf("%s carries no labels", spec.Algorithm)
+		}
+	}
+	if (s.kmed != nil) != (spec.Algorithm == MineKMedoids) {
+		return fmt.Errorf("k-medoids result present=%v for %s", s.kmed != nil, spec.Algorithm)
+	}
+	if km := s.kmed; km != nil {
+		if len(km.Medoids) != spec.K {
+			return fmt.Errorf("%d medoids, want %d", len(km.Medoids), spec.K)
+		}
+		seen := make(map[int]bool, len(km.Medoids))
+		for _, med := range km.Medoids {
+			if med < 0 || med >= n || seen[med] {
+				return fmt.Errorf("medoid %d repeated or outside [0,%d)", med, n)
+			}
+			seen[med] = true
+		}
+		if len(km.Assign) != n {
+			return fmt.Errorf("%d assignments for %d rows", len(km.Assign), n)
+		}
+		for i, c := range km.Assign {
+			if c < 0 || c >= spec.K {
+				return fmt.Errorf("assignment %d of row %d outside [0,%d)", c, i, spec.K)
+			}
+		}
+		if math.IsNaN(km.Cost) || math.IsInf(km.Cost, 0) || km.Cost < 0 {
+			return fmt.Errorf("k-medoids cost %v is not finite and non-negative", km.Cost)
+		}
+	}
+	if s.counts != nil && spec.Algorithm != MineApriori {
+		return fmt.Errorf("%s carries no apriori counts", spec.Algorithm)
+	}
+	for k, c := range s.counts {
+		if c < 0 || c > n {
+			return fmt.Errorf("apriori count %d of %q outside [0,%d]", c, k, n)
+		}
+	}
+	return nil
 }
