@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"net/url"
 	"strings"
@@ -122,7 +123,7 @@ func (c *Client) NewSession(ctx context.Context, m dpe.Measure, opts ...SessionO
 // do sends one JSON request and decodes the JSON response into out
 // (nil means discard).
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	body, err := c.doStream(ctx, method, path, in)
+	body, err := c.doStream(ctx, method, path, in, "")
 	if err != nil {
 		return err
 	}
@@ -138,8 +139,10 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 }
 
 // doStream sends one JSON request and hands back the raw response body
-// for streaming decoders (the matrix endpoint). The caller closes it.
-func (c *Client) doStream(ctx context.Context, method, path string, in any) (io.ReadCloser, error) {
+// for streaming decoders (the matrix endpoints). A non-empty accept is
+// sent as the Accept header and required of the response's
+// Content-Type. The caller closes the body.
+func (c *Client) doStream(ctx context.Context, method, path string, in any, accept string) (io.ReadCloser, error) {
 	var body io.Reader
 	contentType := ""
 	if in != nil {
@@ -150,19 +153,23 @@ func (c *Client) doStream(ctx context.Context, method, path string, in any) (io.
 		body = bytes.NewReader(b)
 		contentType = "application/json"
 	}
-	return c.doRaw(ctx, method, path, body, contentType)
+	return c.doRaw(ctx, method, path, body, contentType, accept)
 }
 
 // doRaw sends one request with an arbitrary body (nil for none) and
 // hands back the raw response body on 2xx, mapping error responses the
-// same way for every call. The caller closes the returned body.
-func (c *Client) doRaw(ctx context.Context, method, path string, body io.Reader, contentType string) (io.ReadCloser, error) {
+// same way for every call. A non-empty accept is negotiated as in
+// doStream. The caller closes the returned body.
+func (c *Client) doRaw(ctx context.Context, method, path string, body io.Reader, contentType, accept string) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
 		return nil, err
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	// Mint a correlation id client-side so a failed call can be chased
 	// through the server's access log; the server honors it verbatim.
@@ -185,6 +192,12 @@ func (c *Client) doRaw(ctx context.Context, method, path string, body io.Reader,
 		}
 		return nil, fmt.Errorf("service: %s %s: HTTP %d", method, path, resp.StatusCode)
 	}
+	if accept != "" {
+		if ct, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); ct != accept {
+			resp.Body.Close()
+			return nil, fmt.Errorf("service: %s %s: response is %q, want %q", method, path, ct, accept)
+		}
+	}
 	return resp.Body, nil
 }
 
@@ -194,7 +207,7 @@ func (c *Client) doRaw(ctx context.Context, method, path string, body io.Reader,
 // checksum is verified at import time, so a connection torn mid-export
 // produces a file the importer rejects, never a half-restored tenant.
 func (c *Client) ExportSession(ctx context.Context, id string, w io.Writer) error {
-	body, err := c.doRaw(ctx, http.MethodGet, "/v1/sessions/"+url.PathEscape(id)+"/export", nil, "")
+	body, err := c.doRaw(ctx, http.MethodGet, "/v1/sessions/"+url.PathEscape(id)+"/export", nil, "", "")
 	if err != nil {
 		return err
 	}
@@ -208,7 +221,7 @@ func (c *Client) ExportSession(ctx context.Context, id string, w io.Writer) erro
 // ImportSession uploads a bundle and restores it as a live session
 // (preserving the exported session id), returning what was restored.
 func (c *Client) ImportSession(ctx context.Context, bundle io.Reader) (*ImportResult, error) {
-	body, err := c.doRaw(ctx, http.MethodPost, "/v1/sessions:import", bundle, "application/octet-stream")
+	body, err := c.doRaw(ctx, http.MethodPost, "/v1/sessions:import", bundle, "application/octet-stream", "")
 	if err != nil {
 		return nil, err
 	}
@@ -291,18 +304,25 @@ func (s *Session) UploadLog(ctx context.Context, log []string) (string, error) {
 }
 
 // DistanceMatrix computes the pairwise distance matrix of a log on the
-// server, streaming the result back.
+// server, streaming the result back as a binary matrix frame.
 func (s *Session) DistanceMatrix(ctx context.Context, log []string) (dpe.Matrix, error) {
 	id, err := s.UploadLog(ctx, log)
 	if err != nil {
 		return nil, err
 	}
-	body, err := s.c.doStream(ctx, http.MethodPost, s.path("/matrix"), &MatrixRequest{Log: id})
+	body, err := s.c.doStream(ctx, http.MethodPost, s.path("/matrix"), &MatrixRequest{Log: id}, MatrixContentType)
 	if err != nil {
 		return nil, err
 	}
 	defer body.Close()
-	return ReadMatrix(body)
+	f, err := ReadMatrixBinary(body)
+	if err != nil {
+		return nil, err
+	}
+	if f.Offset != 0 || f.N != len(log) {
+		return nil, fmt.Errorf("service: matrix frame spans rows %d..%d, want 0..%d", f.Offset, f.N, len(log))
+	}
+	return dpe.Matrix(f.Rows), nil
 }
 
 // Append extends the matrix already built for log with newQueries,
@@ -321,18 +341,18 @@ func (s *Session) Append(ctx context.Context, old dpe.Matrix, log []string, newQ
 		return nil, err
 	}
 	body, err := s.c.doStream(ctx, http.MethodPost, s.path("/logs:append"),
-		&AppendLogRequest{Log: id, Queries: newQueries})
+		&AppendLogRequest{Log: id, Queries: newQueries}, MatrixContentType)
 	if err != nil {
 		return nil, err
 	}
 	defer body.Close()
-	resp, err := ReadAppendedRows(body)
+	resp, err := ReadMatrixBinary(body)
 	if err != nil {
 		return nil, err
 	}
-	if resp.Offset != len(old) || resp.N != len(old)+len(newQueries) {
-		return nil, fmt.Errorf("service: appended rows span %d..%d, want %d..%d",
-			resp.Offset, resp.N, len(old), len(old)+len(newQueries))
+	if resp.Offset != len(old) || resp.N != len(old)+len(newQueries) || resp.Log == "" {
+		return nil, fmt.Errorf("service: appended rows span %d..%d of log %q, want %d..%d of the combined log",
+			resp.Offset, resp.N, resp.Log, len(old), len(old)+len(newQueries))
 	}
 	// Remember the combined log's server id: follow-up calls on the
 	// grown log skip the re-upload and land on the warm prepared state.

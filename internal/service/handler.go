@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"mime"
 	"net/http"
 	"strconv"
+	"strings"
+	"time"
 
 	dpe "repro"
 )
@@ -301,9 +305,9 @@ func (h *handler) appendLog(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	WriteAppendedRows(w, combinedID, offset+len(rows), offset, rows)
+	h.writeRows(w, r, combinedID, offset, rows, func(w io.Writer) error {
+		return WriteAppendedRows(w, combinedID, offset+len(rows), offset, rows)
+	})
 }
 
 // appendMine is the batched append-and-mine endpoint: one round trip
@@ -360,9 +364,50 @@ func (h *handler) matrix(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h.writeRows(w, r, "", 0, m, func(w io.Writer) error { return WriteMatrix(w, m) })
+}
+
+// writeRows answers the matrix and logs:append routes with rows
+// offset.. of a distance matrix: as the binary matrix frame when the
+// request's Accept names MatrixContentType, and through writeJSON
+// otherwise. The body write is the encode_response stage. A write
+// error cannot change the status any more; the client sees a short
+// body, which both decoders reject.
+func (h *handler) writeRows(w http.ResponseWriter, r *http.Request, logID string, offset int, rows [][]float64, writeJSON func(io.Writer) error) {
+	binary := acceptsMatrixFrame(r)
+	w.Header().Set("Vary", "Accept")
+	if binary {
+		w.Header().Set("Content-Type", MatrixContentType)
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+	}
 	w.WriteHeader(http.StatusOK)
-	WriteMatrix(w, m)
+	start := time.Now()
+	if binary {
+		WriteMatrixBinary(w, logID, offset, rows)
+	} else {
+		writeJSON(w)
+	}
+	h.reg.observeStage(r.Context(), "encode_response", time.Since(start))
+}
+
+// acceptsMatrixFrame reports whether the request's Accept header names
+// the binary matrix frame with a non-zero quality. Wildcards do not
+// count: only a client that knows the frame gets it.
+func acceptsMatrixFrame(r *http.Request) bool {
+	for _, field := range r.Header.Values("Accept") {
+		for _, part := range strings.Split(field, ",") {
+			mt, params, err := mime.ParseMediaType(part)
+			if err != nil || mt != MatrixContentType {
+				continue
+			}
+			if q, err := strconv.ParseFloat(params["q"], 64); err == nil && q == 0 {
+				continue
+			}
+			return true
+		}
+	}
+	return false
 }
 
 func (h *handler) distances(w http.ResponseWriter, r *http.Request) {

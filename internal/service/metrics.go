@@ -21,6 +21,9 @@ var stageNames = []string{
 	"rerank",        // exact re-ranking of LSH candidates
 	"mine",          // mining pass (includes its matrix build)
 	"mine_delta",    // incremental mining: appended pairs + warm start
+	// Not a provider stage: the handler's body write of the matrix and
+	// logs:append responses, in either encoding.
+	"encode_response",
 }
 
 // registryMetrics is the registry's slice of the obs wiring. Every

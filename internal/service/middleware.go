@@ -175,6 +175,17 @@ func (w *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Flush passes a streaming writer's flush through, so the matrix
+// encoders' periodic http.Flusher flushes reach the connection.
+func (w *statusRecorder) Flush() {
+	if w.status == 0 {
+		w.status = http.StatusOK
+	}
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
 // Unwrap lets http.ResponseController reach the underlying writer.
 func (w *statusRecorder) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 

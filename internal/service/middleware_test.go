@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -375,4 +377,85 @@ func TestMetricRegistryNoDuplicates(t *testing.T) {
 	}()
 	reg2 := NewRegistry(Config{Obs: o})
 	reg2.Close()
+}
+
+// TestEncodeResponseStage: the body write of a matrix or logs:append
+// response is one encode_response observation, whichever encoding the
+// request negotiated, and it appears in the slow-request stage
+// breakdown; routes that do not stream a matrix add none.
+func TestEncodeResponseStage(t *testing.T) {
+	o := obs.NewRegistry()
+	reg := NewRegistry(Config{Obs: o})
+	t.Cleanup(reg.Close)
+	var logs syncBuffer
+	logger := slog.New(slog.NewTextHandler(&logs, nil))
+	srv := httptest.NewServer(NewHandlerWithOptions(reg, HandlerOptions{Obs: o, Logger: logger, SlowRequest: time.Nanosecond}))
+	t.Cleanup(srv.Close)
+	ctx := context.Background()
+	sess, err := NewClient(srv.URL).NewSession(ctx, dpe.MeasureToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := churnLog(1)
+	logID, err := sess.UploadLog(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = `dpe_stage_duration_seconds_count{stage="encode_response"}`
+	step := func(name string, want float64, call func() error) {
+		t.Helper()
+		before := scrape(t, o)[key]
+		if err := call(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := scrape(t, o)[key] - before; got != want {
+			t.Errorf("%s added %v encode_response observations, want %v", name, got, want)
+		}
+	}
+	var m dpe.Matrix
+	step("binary matrix", 1, func() (err error) { m, err = sess.DistanceMatrix(ctx, queries); return err })
+	step("JSON matrix", 1, func() error {
+		resp, err := http.Post(srv.URL+"/v1/sessions/"+sess.ID()+"/matrix", "application/json",
+			strings.NewReader(`{"log":"`+logID+`"}`))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		_, err = readMatrixJSON(resp.Body)
+		return err
+	})
+	step("binary append", 1, func() error {
+		_, err := sess.Append(ctx, m, queries, []string{"SELECT d FROM grown"})
+		return err
+	})
+	step("distances", 0, func() error { _, err := sess.Distances(ctx, queries, 0); return err })
+
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, `msg="slow request"`) && strings.Contains(line, "route=matrix") {
+			if !strings.Contains(line, "encode_response=") {
+				t.Errorf("slow matrix request's stages omit encode_response: %s", line)
+			}
+			return
+		}
+	}
+	t.Errorf("no slow-request line for the matrix route in:\n%s", logs.String())
+}
+
+// syncBuffer is a bytes.Buffer safe for the handler goroutines' log
+// writes.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }

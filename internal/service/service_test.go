@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,10 +82,13 @@ func startServer(t *testing.T, cfg Config) *httptest.Server {
 // invisible in every result.
 func TestRemoteLocalParity(t *testing.T) {
 	f := newFixture(t)
+	wire := &matrixWireRecorder{}
+	hc := &http.Client{Transport: wire}
 	clients := map[string]*Client{
-		"shards=1":  NewClient(startServer(t, Config{Shards: 1}).URL),
-		"shards=16": NewClient(startServer(t, Config{Shards: 16}).URL),
+		"shards=1":  NewClient(startServer(t, Config{Shards: 1}).URL, WithHTTPClient(hc)),
+		"shards=16": NewClient(startServer(t, Config{Shards: 16}).URL, WithHTTPClient(hc)),
 	}
+	defer wire.check(t)
 	ctx := context.Background()
 
 	measures := []dpe.Measure{dpe.MeasureToken, dpe.MeasureStructure, dpe.MeasureResult, dpe.MeasureAccessArea}
@@ -111,7 +115,7 @@ func TestRemoteLocalParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, want) {
+				if !sameBits(got, want) {
 					t.Fatal("remote matrix differs from in-process matrix")
 				}
 
@@ -351,7 +355,9 @@ func TestErrorPaths(t *testing.T) {
 func TestAppendParity(t *testing.T) {
 	f := newFixture(t)
 	srv := startServer(t, Config{})
-	client := NewClient(srv.URL)
+	wire := &matrixWireRecorder{}
+	defer wire.check(t)
+	client := NewClient(srv.URL, WithHTTPClient(&http.Client{Transport: wire}))
 	ctx := context.Background()
 
 	measures := []dpe.Measure{dpe.MeasureToken, dpe.MeasureStructure, dpe.MeasureResult, dpe.MeasureAccessArea}
@@ -379,7 +385,7 @@ func TestAppendParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !sameBits(got, want) {
 				t.Fatal("appended matrix differs from from-scratch matrix")
 			}
 
@@ -393,7 +399,7 @@ func TestAppendParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(full, want) {
+			if !sameBits(full, want) {
 				t.Fatal("matrix on the grown log differs")
 			}
 			statsAfter, err := sess.Stats(ctx)
@@ -406,6 +412,175 @@ func TestAppendParity(t *testing.T) {
 			}
 			if statsAfter.Logs != 2 {
 				t.Errorf("stats.Logs = %d, want 2 (base + combined)", statsAfter.Logs)
+			}
+		})
+	}
+}
+
+// matrixWireRecorder is the parity tests' transport: it counts the
+// matrix and logs:append responses by encoding, so a test can assert
+// that its bit-exact checks ran over the binary frame.
+type matrixWireRecorder struct {
+	mu            sync.Mutex
+	binary, other int
+}
+
+func (rt *matrixWireRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && (strings.HasSuffix(req.URL.Path, "/matrix") || strings.HasSuffix(req.URL.Path, "/logs:append")) {
+		rt.mu.Lock()
+		if resp.Header.Get("Content-Type") == MatrixContentType {
+			rt.binary++
+		} else {
+			rt.other++
+		}
+		rt.mu.Unlock()
+	}
+	return resp, err
+}
+
+func (rt *matrixWireRecorder) check(t *testing.T) {
+	t.Helper()
+	if rt.binary == 0 || rt.other != 0 {
+		t.Errorf("matrix responses: %d binary, %d other; want all binary", rt.binary, rt.other)
+	}
+}
+
+// TestMatrixWireNegotiation: a request whose Accept does not name the
+// binary frame (no header, a wildcard, JSON, or the frame at q=0) gets
+// JSON byte-identical to WriteMatrix / WriteAppendedRows of the same
+// rows, which is what curl and the docs rely on; naming the frame, in
+// any case or list position, gets the frame.
+func TestMatrixWireNegotiation(t *testing.T) {
+	srv := startServer(t, Config{})
+	ctx := context.Background()
+	sess, err := NewClient(srv.URL).NewSession(ctx, dpe.MeasureToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := []string{"SELECT a FROM t", "SELECT b FROM t WHERE x = 1", "SELECT a, b FROM t"}
+	tail := []string{"SELECT c FROM t", "SELECT a FROM u"}
+	combined := append(append([]string(nil), base...), tail...)
+	baseID, err := sess.UploadLog(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := dpe.NewProvider(dpe.MeasureToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := local.DistanceMatrix(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := local.DistanceMatrix(ctx, combined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantMatrix, wantAppend bytes.Buffer
+	if err := WriteMatrix(&wantMatrix, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAppendedRows(&wantAppend, LogID(combined), len(combined), len(base), full[len(base):]); err != nil {
+		t.Fatal(err)
+	}
+
+	post := func(route, body, accept string) (string, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/sessions/"+sess.ID()+route, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: HTTP %d, %v: %s", route, resp.StatusCode, err, b)
+		}
+		return resp.Header.Get("Content-Type"), b
+	}
+	matrixBody := `{"log":"` + baseID + `"}`
+	appendBody, err := json.Marshal(AppendLogRequest{Log: baseID, Queries: tail})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, accept := range []string{"", "*/*", "application/json", MatrixContentType + ";q=0", "application/x-dpe-matrix-v2"} {
+		if ct, got := post("/matrix", matrixBody, accept); ct != "application/json" || !bytes.Equal(got, wantMatrix.Bytes()) {
+			t.Errorf("matrix, Accept %q: %s %q, want WriteMatrix's JSON %q", accept, ct, got, wantMatrix.Bytes())
+		}
+		if ct, got := post("/logs:append", string(appendBody), accept); ct != "application/json" || !bytes.Equal(got, wantAppend.Bytes()) {
+			t.Errorf("logs:append, Accept %q: %s %q, want WriteAppendedRows's JSON %q", accept, ct, got, wantAppend.Bytes())
+		}
+	}
+	for _, accept := range []string{MatrixContentType, "application/json;q=0.9, " + MatrixContentType, "APPLICATION/X-DPE-MATRIX; q=0.5"} {
+		ct, got := post("/matrix", matrixBody, accept)
+		f, err := ReadMatrixBinary(bytes.NewReader(got))
+		if ct != MatrixContentType || err != nil || f.Log != "" || !sameBits(f.Rows, m) {
+			t.Errorf("matrix, Accept %q: %s, %v; want the frame of the matrix", accept, ct, err)
+		}
+		ct, got = post("/logs:append", string(appendBody), accept)
+		f, err = ReadMatrixBinary(bytes.NewReader(got))
+		if ct != MatrixContentType || err != nil || f.Log != LogID(combined) || f.Offset != len(base) || !sameBits(f.Rows, full[len(base):]) {
+			t.Errorf("logs:append, Accept %q: %s, %v; want the frame of the new rows", accept, ct, err)
+		}
+	}
+}
+
+// TestCorruptMatrixFrameRejected: a binary matrix body cut short, with
+// a byte flipped, or with a byte too many makes Session.DistanceMatrix
+// and Session.Append return an error, never a matrix.
+func TestCorruptMatrixFrameRejected(t *testing.T) {
+	ctx := context.Background()
+	base := []string{"SELECT a FROM t", "SELECT b FROM t WHERE x = 1", "SELECT a, b FROM t"}
+	tail := []string{"SELECT c FROM t"}
+	local, err := dpe.NewProvider(dpe.MeasureToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := local.DistanceMatrix(ctx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func([]byte) []byte{
+		"truncated by one":  func(b []byte) []byte { return b[:len(b)-1] },
+		"truncated to half": func(b []byte) []byte { return b[:len(b)/2] },
+		"body byte flipped": func(b []byte) []byte { b[len(b)-5] ^= 0x40; return b },
+		"CRC byte flipped":  func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b },
+		"trailing byte":     func(b []byte) []byte { return append(b, 0) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg := NewRegistry(Config{})
+			t.Cleanup(reg.Close)
+			h := NewHandler(reg)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, r)
+				body := rec.Body.Bytes()
+				if rec.Header().Get("Content-Type") == MatrixContentType {
+					body = mutate(body)
+				}
+				for k, v := range rec.Header() {
+					w.Header()[k] = v
+				}
+				w.WriteHeader(rec.Code)
+				w.Write(body)
+			}))
+			t.Cleanup(srv.Close)
+			sess, err := NewClient(srv.URL).NewSession(ctx, dpe.MeasureToken)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, err := sess.DistanceMatrix(ctx, base); err == nil || m != nil {
+				t.Errorf("DistanceMatrix = %v, %v; want an error and no matrix", m, err)
+			}
+			if m, err := sess.Append(ctx, old, base, tail); err == nil || m != nil {
+				t.Errorf("Append = %v, %v; want an error and no matrix", m, err)
 			}
 		})
 	}
@@ -434,7 +609,7 @@ func TestAppendWirePayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	rows, err := ReadAppendedRows(resp.Body)
+	rows, err := readAppendedRowsJSON(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,10 @@
 //
 //   - wire codecs (this file): JSON encodings for the shared artifacts —
 //     values, catalogs, domains, the aggregate-evaluation public key,
-//     mining specs/results, and a streamed distance-matrix format. The
-//     codecs are exact: a value round-trips bit-identically, so distance
-//     preservation (Definition 1) survives the network hop.
+//     mining specs/results — and streamed distance matrices, as JSON or
+//     as a binary little-endian float64 frame. The codecs are exact: a
+//     value round-trips bit-identically, so distance preservation
+//     (Definition 1) survives the network hop.
 //   - a session registry (registry.go): concurrency-safe multi-tenant
 //     state. A session is created once from a measure plus artifacts;
 //     logs are uploaded once and addressed by content hash; the metric's
@@ -24,9 +25,13 @@
 package service
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"math/big"
 	"net/http"
 
@@ -471,26 +476,13 @@ func WriteMatrix(w io.Writer, m dpe.Matrix) error {
 	return err
 }
 
-// wireMatrix mirrors the WriteMatrix stream for decoding.
-type wireMatrix struct {
-	N    int         `json:"n"`
-	Rows [][]float64 `json:"rows"`
-}
-
-// AppendedRows is the logs:append response: only the k new full-width
-// rows of the extended matrix travel over the wire (rows Offset..N-1),
-// never the unchanged old block — for a large session log the append
-// payload is O(n·k), not O(n²). Log is the combined log's
-// content-addressed id, for follow-up calls on the grown log.
-type AppendedRows struct {
-	Log    string      `json:"log"`
-	N      int         `json:"n"`
-	Offset int         `json:"offset"`
-	Rows   [][]float64 `json:"rows"`
-}
-
-// WriteAppendedRows streams an append response row by row, flushing
-// like WriteMatrix so large appends reach the client incrementally.
+// WriteAppendedRows streams a logs:append response as JSON —
+// {"log":ID,"n":N,"offset":O,"rows":[...]} — row by row, flushing like
+// WriteMatrix. Only the k = N−O new full-width rows (rows O..N-1 of the
+// extended matrix) travel, never the unchanged old block: for a large
+// session log the append payload is O(n·k), not O(n²). ID is the
+// combined log's content-addressed id, for follow-up calls on the
+// grown log.
 func WriteAppendedRows(w io.Writer, logID string, total, offset int, rows [][]float64) error {
 	flusher, _ := w.(http.Flusher)
 	if _, err := fmt.Fprintf(w, `{"log":%q,"n":%d,"offset":%d,"rows":[`, logID, total, offset); err != nil {
@@ -517,40 +509,198 @@ func WriteAppendedRows(w io.Writer, logID string, total, offset int, rows [][]fl
 	return err
 }
 
-// ReadAppendedRows decodes a WriteAppendedRows stream, validating that
-// the row count and widths match the header.
-func ReadAppendedRows(r io.Reader) (*AppendedRows, error) {
-	var a AppendedRows
-	if err := json.NewDecoder(r).Decode(&a); err != nil {
-		return nil, fmt.Errorf("service: decoding appended rows: %w", err)
-	}
-	if a.Offset < 0 || a.N < a.Offset {
-		return nil, fmt.Errorf("service: appended rows span %d..%d", a.Offset, a.N)
-	}
-	if len(a.Rows) != a.N-a.Offset {
-		return nil, fmt.Errorf("service: %d appended rows, header says %d", len(a.Rows), a.N-a.Offset)
-	}
-	for i, row := range a.Rows {
-		if len(row) != a.N {
-			return nil, fmt.Errorf("service: appended row %d has %d entries, want %d", i, len(row), a.N)
-		}
-	}
-	return &a, nil
+// MatrixContentType is the media type of the binary matrix frame. The
+// matrix and logs:append routes answer with it when the request's
+// Accept header names it (service.Client always does) and with the
+// JSON streams above otherwise, so curl keeps reading JSON.
+const MatrixContentType = "application/x-dpe-matrix"
+
+// The binary matrix frame, all integers little-endian:
+//
+//	magic "DPEM" | version u8 | n u32 | offset u32 | log id length u8 | log id
+//	for each row i in [offset, n): columns [0, i) as float64 bits
+//	CRC-32 (IEEE) of everything above, u32
+//
+// The diagonal is zero and the rest follows by symmetry, so a matrix
+// (offset 0) sends its strict lower triangle, n(n−1)/2 values, and an
+// append sends the new rows' cross block plus the lower half of the
+// new block. float64 bits travel verbatim, so Definition 1 survives
+// the hop bit for bit.
+const (
+	matrixMagic      = "DPEM"
+	matrixVersion    = 1
+	matrixHeaderSize = len(matrixMagic) + 1 + 4 + 4 + 1
+	matrixBufSize    = 32 << 10
+)
+
+// MatrixFrame is one decoded binary matrix frame: rows Offset..N-1 of
+// an N×N distance matrix, each full width, over one flat backing array.
+// Log is empty for a matrix response and the combined log's id for an
+// append response.
+type MatrixFrame struct {
+	Log    string
+	N      int
+	Offset int
+	Rows   [][]float64
 }
 
-// ReadMatrix decodes a WriteMatrix stream, validating the dimensions.
-func ReadMatrix(r io.Reader) (dpe.Matrix, error) {
-	var w wireMatrix
-	if err := json.NewDecoder(r).Decode(&w); err != nil {
-		return nil, fmt.Errorf("service: decoding matrix: %w", err)
+// WriteMatrixBinary streams rows offset..offset+len(rows)-1 of a
+// distance matrix as one binary frame (see MatrixContentType). Each row
+// must be full width; only its columns below the diagonal are sent.
+// Rows go out through one buffered writer and one reused row buffer,
+// flushing every matrixFlushEvery rows when w supports it, so the
+// encoder allocates O(n) whatever the matrix size.
+func WriteMatrixBinary(w io.Writer, logID string, offset int, rows [][]float64) error {
+	n := offset + len(rows)
+	if offset < 0 || n > math.MaxUint32 {
+		return fmt.Errorf("service: matrix frame rows %d..%d out of range", offset, n)
 	}
-	if len(w.Rows) != w.N {
-		return nil, fmt.Errorf("service: matrix has %d rows, header says %d", len(w.Rows), w.N)
+	if len(logID) > math.MaxUint8 {
+		return fmt.Errorf("service: matrix frame log id of %d bytes", len(logID))
 	}
-	for i, row := range w.Rows {
-		if len(row) != w.N {
-			return nil, fmt.Errorf("service: matrix row %d has %d entries, want %d", i, len(row), w.N)
+	flusher, _ := w.(http.Flusher)
+	bw := bufio.NewWriterSize(w, matrixBufSize)
+	crc := crc32.NewIEEE()
+	out := io.MultiWriter(bw, crc)
+
+	hdr := make([]byte, matrixHeaderSize, matrixHeaderSize+len(logID))
+	copy(hdr, matrixMagic)
+	hdr[4] = matrixVersion
+	binary.LittleEndian.PutUint32(hdr[5:], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[9:], uint32(offset))
+	hdr[13] = byte(len(logID))
+	if _, err := out.Write(append(hdr, logID...)); err != nil {
+		return err
+	}
+	buf := make([]byte, 8*n)
+	for r, row := range rows {
+		if len(row) != n {
+			return fmt.Errorf("service: matrix row %d has %d entries, want %d", offset+r, len(row), n)
+		}
+		b := buf[:0]
+		for _, v := range row[:offset+r] {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		if _, err := out.Write(b); err != nil {
+			return err
+		}
+		if flusher != nil && (r+1)%matrixFlushEvery == 0 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+			flusher.Flush()
 		}
 	}
-	return dpe.Matrix(w.Rows), nil
+	if _, err := bw.Write(binary.LittleEndian.AppendUint32(buf[:0], crc.Sum32())); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// ReadMatrixBinary decodes one WriteMatrixBinary frame. It rejects a
+// bad magic, an unknown version, offset > n, a truncated or overlong
+// body, and a CRC mismatch; the diagonal is filled with zeros and the
+// upper triangle by symmetry. Memory grows only with the bytes that
+// actually arrive — a header claiming a huge n over a short body is an
+// error after a small allocation, not an out-of-memory crash.
+func ReadMatrixBinary(r io.Reader) (*MatrixFrame, error) {
+	hdr := make([]byte, matrixHeaderSize, matrixHeaderSize+math.MaxUint8)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, fmt.Errorf("service: matrix frame header: %w", noEOF(err))
+	}
+	if string(hdr[:4]) != matrixMagic {
+		return nil, fmt.Errorf("service: not a matrix frame (magic %q)", hdr[:4])
+	}
+	if hdr[4] != matrixVersion {
+		return nil, fmt.Errorf("service: matrix frame version %d, this binary reads %d", hdr[4], matrixVersion)
+	}
+	n := uint64(binary.LittleEndian.Uint32(hdr[5:]))
+	offset := uint64(binary.LittleEndian.Uint32(hdr[9:]))
+	if offset > n {
+		return nil, fmt.Errorf("service: matrix frame offset %d past n=%d", offset, n)
+	}
+	hdr = hdr[:matrixHeaderSize+int(hdr[13])]
+	if _, err := io.ReadFull(r, hdr[matrixHeaderSize:]); err != nil {
+		return nil, fmt.Errorf("service: matrix frame log id: %w", noEOF(err))
+	}
+	// Rows offset..n-1 carry offset+…+(n−1) values. n < 2³², so the
+	// product fits in 64 bits; the bound keeps every size below an int.
+	values := (n - offset) * (n + offset - 1) / 2
+	if values > math.MaxInt64/32 {
+		return nil, fmt.Errorf("service: matrix frame of n=%d is too large", n)
+	}
+	chunks, err := readChunks(r, int64(values)*8)
+	if err != nil {
+		return nil, fmt.Errorf("service: matrix frame body: %w", err)
+	}
+	var trailer [4]byte
+	if _, err := io.ReadFull(r, trailer[:]); err != nil {
+		return nil, fmt.Errorf("service: matrix frame trailer: %w", noEOF(err))
+	}
+	if m, _ := io.ReadFull(r, make([]byte, 1)); m > 0 {
+		return nil, fmt.Errorf("service: trailing bytes after the matrix frame")
+	}
+	crc := crc32.ChecksumIEEE(hdr)
+	for _, c := range chunks {
+		crc = crc32.Update(crc, crc32.IEEETable, c)
+	}
+	if want := binary.LittleEndian.Uint32(trailer[:]); crc != want {
+		return nil, fmt.Errorf("service: matrix frame CRC %08x, trailer says %08x", crc, want)
+	}
+
+	width, k, off := int(n), int(n-offset), int(offset)
+	backing := make([]float64, k*width)
+	rows := make([][]float64, k)
+	for r := range rows {
+		rows[r] = backing[r*width : (r+1)*width : (r+1)*width]
+	}
+	var cur []byte
+	for r, row := range rows {
+		for j := range row[:off+r] {
+			if len(cur) == 0 {
+				cur, chunks = chunks[0], chunks[1:]
+			}
+			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(cur))
+			cur = cur[8:]
+		}
+	}
+	// Mirror the new block's lower half into its upper half, tile by
+	// tile so the strided writes stay in cache.
+	const tile = 64
+	for r0 := 0; r0 < k; r0 += tile {
+		for c0 := 0; c0 <= r0; c0 += tile {
+			for r := r0; r < min(r0+tile, k); r++ {
+				for c := c0; c < min(c0+tile, r); c++ {
+					rows[c][off+r] = rows[r][off+c]
+				}
+			}
+		}
+	}
+	return &MatrixFrame{Log: string(hdr[matrixHeaderSize:]), N: width, Offset: off, Rows: rows}, nil
+}
+
+// readChunks reads exactly size bytes (a multiple of 8) into chunks
+// that double in size as bytes arrive, instead of one buffer sized by
+// the header's claim: a stream that ends early costs at most about
+// twice what it delivered, and no byte is copied twice.
+func readChunks(r io.Reader, size int64) ([][]byte, error) {
+	var chunks [][]byte
+	for next := int64(matrixBufSize); size > 0; next *= 2 {
+		c := make([]byte, min(next, size))
+		if _, err := io.ReadFull(r, c); err != nil {
+			return nil, noEOF(err)
+		}
+		chunks = append(chunks, c)
+		size -= int64(len(c))
+	}
+	return chunks, nil
+}
+
+// noEOF reports a stream that ended inside a fixed-size field as a
+// truncation, never as a clean end of input.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

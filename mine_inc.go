@@ -234,8 +234,8 @@ func (p *Provider) mineCold(m Matrix, spec MineSpec, res *MineResult, state *Min
 // mineWarm is the incremental path: extend the carried matrix with the
 // appended rows' pairs only, then warm-start the algorithm. A decoded
 // state carries no matrix; its oldN×oldN prefix (and DBSCAN's
-// eps-graph) is rebuilt from the prepared log first, into locals —
-// prev is never mutated.
+// eps-graph, or k-medoids' assignment and cost) is rebuilt from the
+// prepared log first, into locals — prev is never mutated.
 func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineState, spec MineSpec) (*MineResult, *MineState, error) {
 	defer p.stage(ctx, "mine_delta")()
 	n, oldN := pl.Len(), prev.n
@@ -258,13 +258,21 @@ func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineStat
 		return res, state, nil
 	}
 
-	prevM, prevAdj := prev.matrix, prev.adj
+	prevM, prevAdj, prevKmed := prev.matrix, prev.adj, prev.kmed
 	if prevM == nil {
 		var err error
 		if prevM, err = distance.BuildMatrix(ctx, oldN, p.parallelism, pl.prep.Distance); err != nil {
 			return nil, nil, err
 		}
 		stats.PairsComputed += int64(oldN) * int64(oldN-1) / 2
+		if prevKmed != nil {
+			// The record's assignment and cost are derived from its
+			// medoids and the matrix: recompute them in oldN·K reads
+			// rather than trust what was decoded.
+			assign := make([]int, oldN)
+			cost := kmedoidsAssignCost(prevM, prevKmed.Medoids, assign, 0, oldN, &stats.Examined)
+			prevKmed = &mining.KMedoidsResult{Medoids: prevKmed.Medoids, Assign: assign, Cost: cost, Iterations: prevKmed.Iterations}
+		}
 		if spec.Algorithm == MineDBSCAN {
 			adj, reads, err := mining.EpsGraph(prevM, spec.Eps)
 			if err != nil {
@@ -292,14 +300,14 @@ func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineStat
 
 	switch spec.Algorithm {
 	case MineKMedoids:
-		clusters, ws, werr := mining.KMedoidsWarm(m, spec.K, prev.kmed, oldN)
-		if werr == nil && prev.kmed != nil {
+		clusters, ws, werr := mining.KMedoidsWarm(m, spec.K, prevKmed, oldN)
+		if werr == nil && prevKmed != nil {
 			// Cost-regression guard: extending the prior assignment to
 			// the new rows bounds what the warm optimum may cost.
 			var probe int64
 			assign := make([]int, n)
-			copy(assign, prev.kmed.Assign)
-			start := prev.kmed.Cost + kmedoidsAssignCost(m, prev.kmed.Medoids, assign, oldN, n, &probe)
+			copy(assign, prevKmed.Assign)
+			start := prevKmed.Cost + kmedoidsAssignCost(m, prevKmed.Medoids, assign, oldN, n, &probe)
 			stats.Examined += probe
 			if clusters.Cost > start*(1+warmCostTolerance)+warmCostTolerance {
 				werr = fmt.Errorf("dpe: warm k-medoids cost %v regressed past warm-start cost %v", clusters.Cost, start)
@@ -314,8 +322,8 @@ func (p *Provider) mineWarm(ctx context.Context, pl *PreparedLog, prev *MineStat
 			res.Clusters, state.kmed = clusters, clusters
 			stats.Examined += ws.Reads
 		}
-		if prev.kmed != nil && res.Clusters != nil {
-			stats.ChangedLabels = changedLabels(prev.kmed.Assign, res.Clusters.Assign, oldN)
+		if prevKmed != nil && res.Clusters != nil {
+			stats.ChangedLabels = changedLabels(prevKmed.Assign, res.Clusters.Assign, oldN)
 		}
 	case MineDBSCAN:
 		labels, adj, ds, derr := mining.DBSCANAppendGraph(m, spec.Eps, spec.MinPts, prevAdj)

@@ -129,6 +129,85 @@ func TestMineStateV1TamperedMatrixIgnored(t *testing.T) {
 	}
 }
 
+// TestMineStateForgedKMedoidsRecomputed: a k-medoids record's
+// assignment and cost are derived from its medoids, so a warm run
+// from a restored state recomputes them over the rebuilt prefix. A
+// record whose assignment was forged to all 0, or whose cost was
+// forged — both still in range, so both decode — gives the result of
+// the untampered record, warm, with the oldN·K recomputation reads
+// counted in Examined.
+func TestMineStateForgedKMedoidsRecomputed(t *testing.T) {
+	ctx := context.Background()
+	p, err := NewProvider(MeasureStructure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := mineStateLog(t, 40)
+	const oldN = 32
+	spec := MineSpec{Algorithm: MineKMedoids, K: 4}
+	pl, state := bootState(t, p, log[:oldN], spec)
+	plAll, err := p.ExtendPrepared(ctx, pl, log[oldN:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := MarshalMineState(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(forge func(kmed map[string]any)) *MineState {
+		t.Helper()
+		var rec map[string]any
+		if err := json.Unmarshal(blob, &rec); err != nil {
+			t.Fatal(err)
+		}
+		forge(rec["kmed"].(map[string]any))
+		forged, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := UnmarshalMineState(forged)
+		if err != nil {
+			t.Fatalf("in-range forgery rejected: %v", err)
+		}
+		return s
+	}
+	want, _, err := p.MineIncremental(ctx, plAll, restore(func(map[string]any) {}), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, _, err := p.MineIncremental(ctx, plAll, state, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.Incremental.Warm || want.Incremental.ColdFallback || !reflect.DeepEqual(want.Clusters, live.Clusters) {
+		t.Fatalf("untampered restore = %+v %+v, want the live run's warm clustering %+v", want.Incremental, want.Clusters, live.Clusters)
+	}
+	if extra := int64(oldN * spec.K); want.Incremental.Examined < live.Incremental.Examined+extra {
+		t.Errorf("restored run examined %d entries, want the live run's %d plus the %d-read recomputation",
+			want.Incremental.Examined, live.Incremental.Examined, extra)
+	}
+	for name, forge := range map[string]func(kmed map[string]any){
+		"assign all 0": func(kmed map[string]any) {
+			assign := kmed["Assign"].([]any)
+			for i := range assign {
+				assign[i] = 0
+			}
+		},
+		"cost 0":    func(kmed map[string]any) { kmed["Cost"] = 0 },
+		"cost 1000": func(kmed map[string]any) { kmed["Cost"] = 1000 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			got, _, err := p.MineIncremental(ctx, plAll, restore(forge), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Clusters, want.Clusters) || !reflect.DeepEqual(got.Incremental, want.Incremental) {
+				t.Errorf("forged record gives %+v %+v, want %+v %+v", got.Clusters, got.Incremental, want.Clusters, want.Incremental)
+			}
+		})
+	}
+}
+
 // TestMineStateRoundTrip: every algorithm's state survives
 // marshal → unmarshal → marshal byte for byte, and the decoded state
 // warm-starts to the same result as the live one, paying exactly the
